@@ -31,10 +31,13 @@ staticcheck:
 ## analyzer — credit-protocol liveness by exhaustive model checking.
 ## The self-test first proves the model checker catches its own seeded
 ## mutants, so the zero-finding run that follows actually means
-## something.  Zero findings is a merge requirement.
+## something; both run at the default window and at K=1, the paper's
+## stop-and-wait.  Zero findings is a merge requirement.
 vet-custom:
 	$(GO) run ./cmd/transput-vet -protomodel-selftest -protomodel-window 3
+	$(GO) run ./cmd/transput-vet -protomodel-selftest -protomodel-window 1
 	$(GO) run ./cmd/transput-vet
+	$(GO) run ./cmd/transput-vet -run '^protomodel$$' -protomodel-window 1
 
 ## cover-floor: statement-coverage floor for the packages whose
 ## correctness arguments lean on tests — the wire codec/slab layer,

@@ -7,8 +7,9 @@ import (
 )
 
 // An explicit-state model of the windowed credit protocol between
-// WOOutPort (the K-worker windowed sender) and WOInPort (the passive
-// sink with a bounded buffer, per-writer sequence gate, and
+// Pusher (the active-output port, keeping up to K Deliver calls
+// outstanding; K=1 is the paper's stop-and-wait) and WOInPort (the
+// passive sink with a bounded buffer, per-writer sequence gate, and
 // credit-carrying DeliverReply).  protomodel.go extracts the protocol
 // shape from the real source (the 1+credits/bsz floor, the strict
 // active<limit gate, the abortErr escape in the sink's wait loops, the
@@ -27,6 +28,10 @@ import (
 //   I4  abort always drains: an aborted terminal state has an empty
 //       sink buffer (no stranded slab views).
 //
+// Replies are processed in any order.  The Pusher collects its calls
+// strictly oldest first, so its reply orders are a subset of the
+// modelled ones, and every invariant proved here holds for it.
+//
 // The model is deliberately small and faithful rather than big and
 // approximate: jobs of one item, batch size one (so limit =
 // floor + credits), one abort event, P independent writers sharing the
@@ -43,7 +48,7 @@ import (
 // fields are the shapes protomodel extracts; a correct tree yields the
 // zero-risk configuration (all true).
 type modelParams struct {
-	Window  int // K: sender workers / max in-flight Delivers
+	Window  int // K: max in-flight Delivers
 	Writers int // P: concurrent writers into one sink channel
 	Cap     int // sink buffer capacity, in items
 
@@ -460,8 +465,8 @@ func exploreCreditModel(p modelParams, maxStates int) exploreResult {
 				c.snap[w][j] = int8(credits)
 				emit(tcode{op: opAccept, w: int8(w), j: int8(j), x: int8(credits)}, c)
 			}
-			// replyDone: any outstanding reply completes (senders are
-			// independent goroutines; replies are unordered).
+			// replyDone: any outstanding reply completes — a superset
+			// of the Pusher's oldest-first collection.
 			for j := 0; j < jobs; j++ {
 				if s.js[w][j] != jReplied {
 					continue

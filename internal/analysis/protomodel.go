@@ -18,9 +18,10 @@ import (
 //
 // The extracted shapes, each anchored to a source position:
 //
-//   - the sender's window gate: the wait loop comparing the in-flight
-//     count against the credit limit (strict `active >= limit` parks
-//     the sender; `>` would admit window+1 deliveries — I2);
+//   - the sender's window gate: the loop comparing the in-flight
+//     count against the credit limit that parks the sender, on a cond
+//     Wait or by collecting its oldest outstanding call (strict
+//     `active >= limit`; `>` would admit window+1 deliveries — I2);
 //   - the credit-limit update: the `1 + credits/batch` floor (without
 //     it a zero-credit reply parks every sender with nothing in
 //     flight to raise the limit — I3) and the window clamp (I2);
@@ -105,7 +106,7 @@ func checkProtoPackage(pass *Pass, pkg *Package) {
 	flip := map[string]token.Pos{}
 
 	if sh.gatePos == token.NoPos {
-		pass.Reportf(anchor, "cannot extract window gate (a wait loop comparing active against limit); window bound unproven")
+		pass.Reportf(anchor, "cannot extract window gate (a wait or collect loop comparing active against limit); window bound unproven")
 	} else if !sh.gateStrict {
 		p.StrictGate = false
 		flip["gate"] = sh.gatePos
@@ -212,12 +213,12 @@ func extractFromFunc(pkg *Package, body *ast.BlockStmt, sh *protoShapes) {
 			return true
 		}
 		waitCall := findWaitCall(info, fs.Body)
-		if waitCall == nil {
-			return true
-		}
-		if op, ok := gateComparison(fs.Cond); ok {
+		if op, ok := gateComparison(fs.Cond); ok && (waitCall != nil || collects(fs.Body)) {
 			sh.gatePos = fs.Pos()
 			sh.gateStrict = op == token.GEQ
+			return true
+		}
+		if waitCall == nil {
 			return true
 		}
 		if owner := waitOwnerType(info, waitCall); owner != nil && isChanCoreFamily(owner) {
@@ -325,6 +326,26 @@ func findWaitCall(info *types.Info, body *ast.BlockStmt) *ast.CallExpr {
 			return false
 		}
 		return true
+	})
+	return found
+}
+
+// collects reports whether the loop body (not a nested function
+// literal) calls a collect method — the single-owner gate's way of
+// parking: it waits for the oldest outstanding call's reply.
+func collects(body *ast.BlockStmt) bool {
+	found := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if _, ok := n.(*ast.FuncLit); ok || found {
+			return false
+		}
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok &&
+				strings.HasPrefix(strings.ToLower(sel.Sel.Name), "collect") {
+				found = true
+			}
+		}
+		return !found
 	})
 	return found
 }

@@ -20,7 +20,7 @@ func TestProtoExtractionRealTree(t *testing.T) {
 		t.Fatal("window gate (for active >= limit wait loop) not extracted")
 	}
 	if !sh.gateStrict {
-		t.Error("gate extracted as non-strict; wooutport.go waits while active >= limit")
+		t.Error("gate extracted as non-strict; the Pusher collects while active >= limit")
 	}
 	if sh.limitPos == 0 {
 		t.Fatal("credit-limit update not extracted")
@@ -70,9 +70,13 @@ func loadRealTransput(t *testing.T) *Package {
 	return pkg
 }
 
-// TestProtoModelSelfTest is the seeded-mutant gate at the PR bound.
+// TestProtoModelSelfTest is the seeded-mutant gate at the PR bound,
+// and at K=1: the paper's stop-and-wait is the same Pusher engine with
+// a window of one, so its path is model-checked too.
 func TestProtoModelSelfTest(t *testing.T) {
-	if err := ProtoModelSelfTest(3, 2, 0); err != nil {
-		t.Fatal(err)
+	for _, window := range []int{3, 1} {
+		if err := ProtoModelSelfTest(window, 2, 0); err != nil {
+			t.Fatalf("K=%d: %v", window, err)
+		}
 	}
 }

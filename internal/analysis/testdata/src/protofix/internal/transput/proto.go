@@ -69,49 +69,40 @@ func (ch *wchan) abort(msg string) {
 	ch.mu.Unlock()
 }
 
-// sender is the client side: K workers share a credit-adjusted window.
+// sender is the client side: one producer keeps up to limit Deliver
+// calls outstanding and collects their replies oldest first.
 type sender struct {
-	mu       sync.Mutex
-	credCond *sync.Cond
-	sendNext int
-	active   int
-	limit    int
-	window   int
-	batch    int
+	calls  []chan int // outstanding replies (credits), oldest first
+	active int
+	limit  int
+	window int
+	batch  int
 }
 
 func newSender(window, batch int) *sender {
-	w := &sender{window: window, limit: window, batch: batch}
-	w.credCond = sync.NewCond(&w.mu)
-	return w
+	return &sender{window: window, limit: window, batch: batch}
 }
 
-// acquire is the window gate: strictly fewer than limit deliveries in
-// flight, in sequence order.
-func (w *sender) acquire(seq int) {
-	w.mu.Lock()
-	for w.sendNext != seq || w.active >= w.limit {
-		w.credCond.Wait()
-	}
-	w.sendNext++
+// send issues one delivery, then runs the window gate: while limit or
+// more are outstanding, it collects the oldest.
+func (w *sender) send(reply chan int) {
+	w.calls = append(w.calls, reply)
 	w.active++
-	w.credCond.Broadcast()
-	w.mu.Unlock()
+	for w.active >= w.limit {
+		w.collectOldest()
+	}
 }
 
-// release folds a reply's credits into the limit: floored at one so a
-// zero-credit reply cannot park the stream forever, clamped to the
-// window.
-func (w *sender) release(credits int) {
-	w.mu.Lock()
+// collectOldest folds the oldest reply's credits into the limit:
+// floored at one so a zero-credit reply cannot park the stream
+// forever, clamped to the window.
+func (w *sender) collectOldest() {
+	credits := <-w.calls[0]
+	w.calls = w.calls[1:]
 	w.active--
-	if credits >= 0 {
-		lim := 1 + credits/w.batch
-		if lim > w.window {
-			lim = w.window
-		}
-		w.limit = lim
+	lim := 1 + credits/w.batch
+	if lim > w.window {
+		lim = w.window
 	}
-	w.credCond.Broadcast()
-	w.mu.Unlock()
+	w.limit = lim
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -145,6 +146,49 @@ func TestClockSourceServesOnDemand(t *testing.T) {
 	// The clock never generates unless asked (pure passive output).
 	if calls != 2 {
 		t.Fatalf("clock generated %d stamps for 2 reads", calls)
+	}
+}
+
+// TestClockSourceWindowedRead reads the clock through a windowed
+// InPort, which orders concurrent replies by TransferReply.Base: the
+// clock must stamp it, or the reader waits forever for offset 0 to be
+// followed by offset 1.
+func TestClockSourceWindowedRead(t *testing.T) {
+	k := newDevKernel(t)
+	var ticks atomic.Int64
+	fake := time.Date(1983, 10, 10, 12, 0, 0, 0, time.UTC)
+	_, clkUID, err := NewClockSource(k, 0, func() time.Time {
+		return fake.Add(time.Duration(ticks.Add(1)) * time.Second)
+	}, time.RFC3339)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := transput.NewInPort(k, uid.Nil, clkUID, transput.Chan(0), transput.InPortConfig{Window: 4})
+	defer in.Cancel("test over")
+	const n = 64
+	done := make(chan error, 1)
+	seen := map[string]bool{}
+	go func() {
+		for i := 0; i < n; i++ {
+			item, err := in.Next()
+			if err != nil {
+				done <- err
+				return
+			}
+			seen[string(item)] = true
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("windowed read of %d clock stamps did not finish", n)
+	}
+	if len(seen) != n {
+		t.Fatalf("read %d distinct stamps of %d", len(seen), n)
 	}
 }
 

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"asymstream/internal/kernel"
@@ -18,6 +19,9 @@ import (
 type ClockSource struct {
 	now    func() time.Time
 	format string
+	// served is the stream offset of the next timestamp: each reply's
+	// TransferReply.Base, so a windowed reader can order its replies.
+	served atomic.Int64
 }
 
 // NewClockSource creates and registers a clock on the given node.
@@ -59,7 +63,8 @@ func (c *ClockSource) Serve(inv *kernel.Invocation) {
 		for i := range items {
 			items[i] = []byte(c.now().Format(c.format) + "\n")
 		}
-		inv.Reply(&transput.TransferReply{Items: items, Status: transput.StatusOK})
+		base := c.served.Add(int64(max)) - int64(max)
+		inv.Reply(&transput.TransferReply{Items: items, Status: transput.StatusOK, Base: base})
 	case transput.OpChannels:
 		inv.Reply(&transput.ChannelsReply{Channels: []transput.ChannelAdvert{
 			{Name: "Output", ID: transput.Chan(transput.ChannelOutput), Dir: "out"},

@@ -51,8 +51,8 @@ type FusionBenchRecord struct {
 	FusedAllocs     float64 `json:"fused_allocs_per_op"`
 }
 
-// FusionBenchReport is the document transput-bench -json-out-fusion
-// emits, alongside the three existing BENCH files.
+// FusionBenchReport is the BENCH_fusion.json document transput-bench
+// -json emits, alongside the other BENCH files.
 type FusionBenchReport struct {
 	Items   int                 `json:"items"`
 	Records []FusionBenchRecord `json:"records"`

@@ -212,6 +212,13 @@ func serveInvocation(e Eject, inv *Invocation) {
 		}
 		releaseInvocation(inv)
 	}()
+	// The request payload crosses the network to the target node.
+	sent, _, err := inv.link.Transmit(inv.fromNode, inv.toNode, inv.Payload)
+	if err != nil {
+		inv.Fail(err)
+		return
+	}
+	inv.Payload = sent
 	e.Serve(inv)
 	if !inv.Replied() {
 		inv.Fail(fmt.Errorf("%w: op %q", ErrNoReply, inv.Op))

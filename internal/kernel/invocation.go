@@ -45,6 +45,11 @@ type Invocation struct {
 	// network is configured to encode).
 	Payload any
 
+	// Both legs cross link on the serving side — the request before
+	// Serve, the reply inside Reply — so an invoker is never suspended
+	// for transmission (§1: "the sender is free to perform other
+	// tasks"), and K outstanding invocations overlap their wire time.
+	link     netsim.Link
 	fromNode netsim.NodeID
 	toNode   netsim.NodeID
 	replied  atomic.Bool
@@ -70,6 +75,7 @@ func releaseInvocation(inv *Invocation) {
 	inv.Target = uid.Nil
 	inv.Op = ""
 	inv.Payload = nil
+	inv.link = nil
 	inv.fromNode = 0
 	inv.toNode = 0
 	inv.replyc = nil
@@ -84,7 +90,13 @@ func (inv *Invocation) Reply(payload any) {
 	if !inv.replied.CompareAndSwap(false, true) {
 		panic("kernel: double reply to invocation " + inv.Op)
 	}
-	inv.replyc <- reply{payload: payload}
+	// The reply payload crosses the network back to the invoker's node.
+	sent, _, err := inv.link.Transmit(inv.toNode, inv.fromNode, payload)
+	if err != nil {
+		inv.replyc <- reply{err: toWire(err)}
+		return
+	}
+	inv.replyc <- reply{payload: sent}
 }
 
 // Fail completes the invocation with an error.
@@ -108,12 +120,14 @@ func (inv *Invocation) Replied() bool { return inv.replied.Load() }
 // or keep the Call and collect the reply later, possibly selecting on
 // Done.
 //
-// Calls are pooled on the synchronous Invoke path (where the caller
-// provably drops the handle before it is recycled); AsyncInvoke
-// returns an unpooled view of the same machinery.  The done channel is
-// allocated lazily — only when Done is used or a second goroutine
-// Waits concurrently — so a plain Invoke round trip allocates nothing
-// for its Call.
+// Calls are pooled on the Caller.Send/Collect path, of which Invoke is
+// the composition (the sender provably drops the handle before it is
+// recycled); AsyncInvoke returns an unpooled view of the same
+// machinery.  The done channel is allocated lazily — only when Done is
+// used or a second goroutine Waits concurrently — so a plain Invoke
+// round trip allocates nothing for its Call.  Either way the payload
+// is read on the serving side, so the invoker must leave it unchanged
+// until the reply is collected.
 type Call struct {
 	k        *Kernel
 	op       string
@@ -158,10 +172,9 @@ func newCall(k *Kernel, op string, target uid.UID, from, to netsim.NodeID) *Call
 	return c
 }
 
-// release recycles a Call.  Only the synchronous Invoke path calls it,
-// after Wait has returned and before the Call could escape; the reply
-// channel is empty again at that point (Wait consumed the single
-// send), so the channel itself is reused.
+// release recycles a Call.  Only Collect calls it, after waitSync has
+// returned; the reply channel is empty again at that point (waitSync
+// consumed the single send), so the channel itself is reused.
 func (c *Call) release() {
 	c.k = nil
 	c.op = ""
@@ -178,19 +191,11 @@ func (c *Call) release() {
 	callPool.Put(c)
 }
 
-// settle runs the reply path: the reply payload crosses the network
-// from the target's node back to the invoker's node, and the reply
-// meters tick.  It returns the settled reply.
+// settle runs the invoker's side of a reply (the payload already
+// crossed the network in Reply): the reply meters tick.  It returns
+// the settled reply.
 func (c *Call) settle(r reply) reply {
 	k := c.k
-	if r.err == nil {
-		payload, _, terr := k.link.Transmit(c.toNode, c.fromNode, r.payload)
-		if terr != nil {
-			r = reply{err: toWire(terr)}
-		} else {
-			r.payload = payload
-		}
-	}
 	k.met.Replies.Inc()
 	k.met.ProcessSwitches.Inc()
 	if r.err == nil {
@@ -215,15 +220,22 @@ func (c *Call) finish(r reply) {
 }
 
 // waitSync collects the reply without touching the Call's mutex or
-// publishing state.  Only the synchronous Invoke path may use it: there
-// the handle never escapes the calling goroutine before release, so no
-// Wait or Done can race with the collection.
+// publishing state.  Only Collect may use it: a Send handle has a
+// single owner, so no Wait or Done can race with the collection.
 func (c *Call) waitSync() (any, error) {
 	r := c.settle(<-c.replyc)
 	if r.err != nil {
 		return nil, &OpError{Op: c.op, Target: c.target.String(), Err: r.err}
 	}
 	return r.payload, nil
+}
+
+// Collect waits for the reply to a Call obtained from Caller.Send and
+// recycles the Call; the handle must not be used again.
+func (c *Call) Collect() (any, error) {
+	res, err := c.waitSync()
+	c.release()
+	return res, err
 }
 
 // doneChanLocked returns the done channel, allocating it on first use.

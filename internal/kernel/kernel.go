@@ -484,12 +484,18 @@ func (c *Caller) AsyncInvoke(target uid.UID, op string, payload any) *Call {
 	return c.k.asyncInvoke(c.from, c.fromNode(), target, op, payload)
 }
 
+// Send issues an invocation from the handle's Eject and returns a
+// pooled Call that the sender alone must Collect, exactly once; the
+// payload must stay unchanged until then.  Send and Collect are Invoke
+// split in two, so one goroutine can keep several invocations
+// outstanding without allocating a Call for each.
+func (c *Caller) Send(target uid.UID, op string, payload any) *Call {
+	return c.k.asyncInvoke(c.from, c.fromNode(), target, op, payload)
+}
+
 // Invoke performs a synchronous invocation from the handle's Eject.
 func (c *Caller) Invoke(target uid.UID, op string, payload any) (any, error) {
-	call := c.k.asyncInvoke(c.from, c.fromNode(), target, op, payload)
-	res, err := call.waitSync()
-	call.release()
-	return res, err
+	return c.Send(target, op, payload).Collect()
 }
 
 // AsyncInvoke sends an invocation and returns immediately with a Call
@@ -519,18 +525,6 @@ func (k *Kernel) asyncInvoke(from uid.UID, fromNode netsim.NodeID, target uid.UI
 			return c
 		}
 
-		// The request payload crosses the network to the target node.
-		sent, _, terr := k.link.Transmit(fromNode, b.node, payload)
-		if terr != nil {
-			if inv != nil {
-				releaseInvocation(inv)
-			}
-			c := newCall(k, op, target, fromNode, b.node)
-			k.traceStart(c, from, 0)
-			c.replyc <- reply{err: toWire(terr)}
-			return c
-		}
-
 		id := k.msgID.Add(1)
 
 		c := newCall(k, op, target, fromNode, b.node)
@@ -542,7 +536,8 @@ func (k *Kernel) asyncInvoke(from uid.UID, fromNode netsim.NodeID, target uid.UI
 		inv.From = from
 		inv.Target = target
 		inv.Op = op
-		inv.Payload = sent
+		inv.Payload = payload
+		inv.link = k.link
 		inv.fromNode = fromNode
 		inv.toNode = b.node
 		inv.replyc = c.replyc
@@ -598,10 +593,7 @@ func (k *Kernel) serveDirect(b *binding, inv *Invocation) {
 // Invoke performs a synchronous invocation: send, then wait for the
 // reply.
 func (k *Kernel) Invoke(from, target uid.UID, op string, payload any) (any, error) {
-	c := k.asyncInvoke(from, k.nodeOf(from), target, op, payload)
-	res, err := c.waitSync()
-	c.release()
-	return res, err
+	return k.asyncInvoke(from, k.nodeOf(from), target, op, payload).Collect()
 }
 
 // Checkpoint creates a new passive representation for the Eject (§1).

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"asymstream/internal/metrics"
 	"asymstream/internal/netsim"
 	"asymstream/internal/uid"
 )
@@ -163,7 +164,8 @@ func TestUnknownOperation(t *testing.T) {
 }
 
 func TestDoubleReplyPanics(t *testing.T) {
-	inv := &Invocation{replyc: make(chan reply, 2)}
+	// Reply carries the payload back over the invocation's link.
+	inv := &Invocation{link: netsim.New(netsim.Config{Nodes: 1}, &metrics.Set{}), replyc: make(chan reply, 2)}
 	inv.Reply("once")
 	defer func() {
 		if recover() == nil {

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -282,41 +281,4 @@ func (sn Snapshot) String() string {
 		fmt.Fprintf(&b, "%s=%d", k, sn.Values[k])
 	}
 	return b.String()
-}
-
-// Registry maps names to Sets so tools can enumerate the systems that
-// exist in one process (the shell creates one per session).
-type Registry struct {
-	mu   sync.Mutex
-	sets map[string]*Set
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{sets: make(map[string]*Set)} }
-
-// Register adds a named Set, replacing any previous Set of that name.
-func (r *Registry) Register(name string, s *Set) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.sets[name] = s
-}
-
-// Get looks up a Set by name.
-func (r *Registry) Get(name string) (*Set, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s, ok := r.sets[name]
-	return s, ok
-}
-
-// Names returns the registered names in sorted order.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.sets))
-	for n := range r.sets {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -156,26 +156,3 @@ func TestDiffMismatchPanics(t *testing.T) {
 	}()
 	Diff(Snapshot{Values: map[string]int64{"a": 1}}, Snapshot{Values: map[string]int64{"a": 1, "b": 2}})
 }
-
-func TestRegistry(t *testing.T) {
-	r := NewRegistry()
-	if names := r.Names(); len(names) != 0 {
-		t.Fatalf("fresh registry has names %v", names)
-	}
-	s1, s2 := &Set{}, &Set{}
-	r.Register("beta", s1)
-	r.Register("alpha", s2)
-	if got := r.Names(); len(got) != 2 || got[0] != "alpha" || got[1] != "beta" {
-		t.Fatalf("Names() = %v, want [alpha beta]", got)
-	}
-	if s, ok := r.Get("beta"); !ok || s != s1 {
-		t.Error("Get(beta) mismatch")
-	}
-	if _, ok := r.Get("gamma"); ok {
-		t.Error("Get(gamma) should miss")
-	}
-	r.Register("beta", s2) // replace
-	if s, _ := r.Get("beta"); s != s2 {
-		t.Error("Register should replace")
-	}
-}

@@ -197,14 +197,26 @@ func BenchmarkCreateStorm(b *testing.B) {
 // hash) so promotion, slow-path misses, Delete tombstones and Range
 // snapshots interleave on one lock domain — the schedule the race
 // detector needs to see.  Run via `make race`/CI with -race; it still
-// asserts linearizable per-key behaviour without it.
+// asserts linearizable per-key behaviour without it: every value a
+// read observes at key k is one some writer stored at k — a worker's
+// w<<20|i (written on rounds i%4 == 0, at key (w+i)%hot) or the
+// LoadOrStore sentinel, which is live between its LoadOrStore and the
+// Delete that follows.
 func TestOneStripeRace(t *testing.T) {
 	m := New[int, int](8, func(int) uint64 { return 0 }, nil)
 	const (
-		workers = 8
-		rounds  = 2000
-		hot     = 32 // small key space: constant snapshot/overlay traffic
+		workers  = 8
+		rounds   = 2000
+		hot      = 32 // small key space: constant snapshot/overlay traffic
+		sentinel = -1
 	)
+	stored := func(k, v int) bool {
+		if v == sentinel {
+			return true
+		}
+		w, i := v>>20, v&(1<<20-1)
+		return v >= 0 && w < workers && i < rounds && i%4 == 0 && (w+i)%hot == k
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -217,24 +229,25 @@ func TestOneStripeRace(t *testing.T) {
 					m.Store(k, w<<20|i)
 				case 1:
 					// Misses on amended snapshots drive promotion.
-					if v, ok := m.Load(k); ok && v < 0 {
-						t.Errorf("Load(%d) = %d", k, v)
+					if v, ok := m.Load(k); ok && !stored(k, v) {
+						t.Errorf("Load(%d) = %d, a value never stored there", k, v)
 						return
 					}
 				case 2:
 					m.Delete(k)
 				default:
-					if v, loaded := m.LoadOrStore(k, -1); loaded && v == -1 && (v < -1 || v > 1<<30) {
-						t.Errorf("LoadOrStore(%d) = %d", k, v)
+					v, loaded := m.LoadOrStore(k, sentinel)
+					if loaded && !stored(k, v) || !loaded && v != sentinel {
+						t.Errorf("LoadOrStore(%d) = %d, loaded=%v", k, v, loaded)
 						return
 					}
-					m.Delete(k) // don't let sentinel -1 accumulate
+					m.Delete(k) // don't let the sentinel accumulate
 				}
 			}
 		}(w)
 	}
 	// A concurrent Range walker repeatedly snapshots the stripe while
-	// the writers churn it.
+	// the writers churn it; every pair it sees must be a stored one.
 	stop := make(chan struct{})
 	var rg sync.WaitGroup
 	rg.Add(1)
@@ -246,17 +259,23 @@ func TestOneStripeRace(t *testing.T) {
 				return
 			default:
 			}
-			m.Range(func(k, v int) bool { return k >= 0 })
+			m.Range(func(k, v int) bool {
+				if !stored(k, v) {
+					t.Errorf("Range saw %d=%d, a value never stored there", k, v)
+					return false
+				}
+				return true
+			})
 		}
 	}()
 	wg.Wait()
 	close(stop)
 	rg.Wait()
-	// Per-key sanity after the storm: every surviving value was
-	// written by some worker (or is the LoadOrStore sentinel).
+	// Per-key sanity after the storm: every surviving pair was written
+	// by some worker (or is the LoadOrStore sentinel).
 	m.Range(func(k, v int) bool {
-		if k < 0 || k >= hot {
-			t.Errorf("foreign key %d survived", k)
+		if k < 0 || k >= hot || !stored(k, v) {
+			t.Errorf("foreign pair %d=%d survived", k, v)
 		}
 		return true
 	})

@@ -1,7 +1,7 @@
 // Adaptive per-link batching.  The paper's accounting fixes one datum
 // per invocation; Options.Batch generalised that to a fixed batch, and
 // Options.BatchMin/BatchMax generalise it again to a runtime-tuned one.
-// Each link (InPort, Pusher, WOOutPort) owns an AIMD controller that
+// Each link (InPort, Pusher) owns an AIMD controller that
 // sizes the next Transfer Max or Deliver batch: additive increase while
 // exchanges come back full, multiplicative decrease when the observed
 // latency per item rises well above the best this link has seen —

@@ -215,9 +215,9 @@ func TestWindowedTransferHopAllocs(t *testing.T) {
 	}
 }
 
-// TestWindowedDeliverHopAllocs pins the windowed push path: the send
-// window's job/freelist recycling must keep a warm hop at the
-// stop-and-wait ceiling plus the sequencing-map churn.
+// TestWindowedDeliverHopAllocs pins the windowed push path: the
+// pusher's recycled delivery records and pooled Calls must keep a warm
+// hop near the stop-and-wait ceiling.
 func TestWindowedDeliverHopAllocs(t *testing.T) {
 	k := kernel.New(kernel.Config{})
 	defer k.Shutdown()
@@ -231,7 +231,7 @@ func TestWindowedDeliverHopAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Start()
-	w := NewWOOutPort(k, uid.Nil, id, Chan(0), WOOutPortConfig{Batch: 1, Window: 4})
+	w := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Batch: 1, Window: 4})
 	defer w.Close()
 	item := []byte("sixteen-byte-pay")
 	hop := func() {

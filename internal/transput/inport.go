@@ -20,27 +20,29 @@ import (
 // hands the resulting items to the application through the
 // conventional-looking Next (Read) interface.
 //
-// Two knobs correspond to the paper's ablations:
+// Three knobs correspond to the paper's ablations:
 //
 //   - Batch is the Max parameter on each Transfer (how many items one
 //     invocation may return).  Batch 1 reproduces the paper's
 //     one-datum-per-invocation accounting.
 //
-//   - Prefetch enables anticipatory pulling: a background process (a
-//     goroutine — one of the Eject's "worker processes") pulls ahead
-//     of the consumer into a local buffer of the given number of
-//     batches.  Prefetch 0 is the demand-driven (lazy) limit: a
-//     Transfer is issued only when the consumer actually needs data.
+//   - Window is the number of Transfer invocations in flight.  At 1
+//     (the default) the port is the paper's stop-and-wait reader.
 //
-// Stream order is preserved in two regimes.  At Window<=1 (the
-// default) at most one Transfer is outstanding per InPort at any
-// instant, so no sequencing is needed; overlap comes from pulling
-// *ahead*, never from pulling *concurrently*.  At Window=K>1 the port
-// keeps K Transfer invocations in flight from K puller goroutines and
-// reassembles the batches in stream order using TransferReply.Base
-// (the server-stamped stream offset), so the consumer still observes
-// exactly the sequential stream.  A windowed port must be its
-// channel's sole consumer — Base offsets are only dense in that case.
+//   - Prefetch is read-ahead beyond the window, in batches.  At
+//     Window 1 and Prefetch 0 the port is demand-driven (lazy): a
+//     Transfer is issued, on the consumer's goroutine, only when the
+//     consumer actually needs data.  Otherwise Window background
+//     pullers (goroutines — the Eject's "worker processes") pull ahead
+//     of the consumer into a local buffer.
+//
+// Every result passes through one absorb step that places it by
+// TransferReply.Base (the server-stamped stream offset), so the
+// consumer observes exactly the sequential stream even with K
+// Transfers in flight.  Base offsets are dense only for a channel's
+// sole consumer, so a Window>1 port must be that; at Window 1 each
+// result is next by construction and the port relies on Base only
+// relative to the result itself.
 type InPort struct {
 	k       *kernel.Kernel
 	met     *metrics.Set
@@ -55,9 +57,8 @@ type InPort struct {
 	// controller sizes every request between the configured bounds.
 	ctrl *batchController
 
-	// req is the port's reusable Transfer request record for the
-	// single-outstanding paths (demand-driven and the lone prefetch
-	// puller); windowed pullers carry their own records.
+	// req is the port's reusable Transfer request record for inline
+	// pulls; background pullers carry their own records.
 	req TransferRequest
 
 	mu        sync.Mutex
@@ -66,18 +67,18 @@ type InPort struct {
 	err       error // nil for normal EOF
 	cancelled bool
 
-	// background pull machinery (pref > 0 or window > 1)
+	// background pull machinery (window > 1 or pref > 0)
 	ahead    chan pulled
 	pullerOn bool
 	stopPull chan struct{}
 	pullerWG sync.WaitGroup
 
-	// windowed reassembly state (window > 1), guarded by mu.
-	nextBase  int64            // stream offset the consumer expects next; -1 until probed
+	// stream-order state, guarded by mu.
+	nextBase  int64            // stream offset the consumer expects next; -1 until anchored
 	streamLen int64            // total stream length once an End is seen; -1 before
-	reorder   map[int64]pulled // out-of-order batches keyed by Base
+	reorder   map[int64]pulled // early results keyed by Base; made on first use
 
-	inflight        atomic.Int64 // Transfers currently on the wire (windowed)
+	inflight        atomic.Int64 // Transfers currently on the wire (pullers)
 	transfersIssued atomic.Int64
 	itemsIn         atomic.Int64
 }
@@ -112,14 +113,13 @@ const MaxWindow = 16
 type InPortConfig struct {
 	// Batch is Max per Transfer; <=0 means 1.
 	Batch int
-	// Prefetch is the local read-ahead buffer in batches; <=0 means
-	// demand-driven.
+	// Prefetch is the read-ahead beyond Window, in batches; with
+	// Window <= 1, Prefetch <= 0 means demand-driven.
 	Prefetch int
-	// Window is the number of Transfer invocations kept in flight
-	// concurrently.  <=1 preserves the classic one-outstanding
-	// behaviour; larger values overlap round-trip latency and are
-	// clamped to MaxWindow.  Window>1 implies anticipation: the port
-	// pulls ahead of the consumer by up to Window batches.
+	// Window is the number of Transfer invocations kept in flight,
+	// clamped to [1, MaxWindow]; 1 is stop-and-wait.  Window>1 implies
+	// anticipation: the port pulls ahead of the consumer by up to
+	// Window+Prefetch batches.
 	Window int
 	// BatchMax > 0 makes the port's batch size adaptive: an AIMD
 	// controller tunes Transfer Max within [max(1, BatchMin),
@@ -139,40 +139,23 @@ func NewInPort(k *kernel.Kernel, self, source uid.UID, channel ChannelID, cfg In
 	if k == nil {
 		panic("transput: NewInPort requires a kernel")
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 1
-	}
-	pref := cfg.Prefetch
-	if pref < 0 {
-		pref = 0
-	}
-	window := cfg.Window
-	if window < 1 {
-		window = 1
-	}
-	if window > MaxWindow {
-		window = MaxWindow
-	}
+	batch := max(cfg.Batch, 1)
 	p := &InPort{
-		k:       k,
-		met:     k.Metrics(),
-		caller:  k.Caller(self),
-		self:    self,
-		source:  source,
-		channel: channel,
-		batch:   batch,
-		pref:    pref,
-		window:  window,
-		req:     TransferRequest{Channel: channel, Max: batch},
+		k:         k,
+		met:       k.Metrics(),
+		caller:    k.Caller(self),
+		self:      self,
+		source:    source,
+		channel:   channel,
+		batch:     batch,
+		pref:      max(cfg.Prefetch, 0),
+		window:    min(max(cfg.Window, 1), MaxWindow),
+		req:       TransferRequest{Channel: channel, Max: batch},
+		nextBase:  -1,
+		streamLen: -1,
 	}
 	if cfg.BatchMax > 0 {
 		p.ctrl = newBatchController(cfg.BatchMin, cfg.BatchMax, &p.met.BatchSizeHighWater)
-	}
-	if window > 1 {
-		p.nextBase = -1
-		p.streamLen = -1
-		p.reorder = make(map[int64]pulled)
 	}
 	return p
 }
@@ -187,8 +170,8 @@ func (p *InPort) Channel() ChannelID { return p.channel }
 func (p *InPort) transfer() pulled { return p.transferWith(&p.req) }
 
 // transferWith issues one synchronous Transfer using the given request
-// record.  Windowed pullers each own a record, because several
-// Transfers are on the wire at once.
+// record.  Pullers each own a record, because several Transfers may be
+// on the wire at once.
 func (p *InPort) transferWith(req *TransferRequest) pulled {
 	asked := req.Max
 	var start time.Time
@@ -220,46 +203,16 @@ func (p *InPort) transferWith(req *TransferRequest) pulled {
 	}
 }
 
-// startPullerLocked arms the anticipatory puller.  Caller holds p.mu.
-func (p *InPort) startPullerLocked() {
-	// The goroutine works on local copies of the channels: Redirect
-	// nils p.ahead (under p.mu) while the puller is still draining, so
-	// reading the fields from the closure would race.
-	ahead := make(chan pulled, p.pref)
-	stop := make(chan struct{})
-	p.ahead = ahead
-	p.stopPull = stop
-	p.pullerOn = true
-	p.pullerWG.Add(1)
-	go func() {
-		defer p.pullerWG.Done()
-		defer close(ahead)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			res := p.transfer()
-			select {
-			case ahead <- res:
-			case <-stop:
-				return
-			}
-			if res.err != nil || res.status == StatusEnd {
-				return
-			}
-		}
-	}()
-}
-
-// startWindowLocked arms the windowed pull engine: p.window puller
-// goroutines, each keeping one Transfer on the wire, all feeding one
-// bounded ahead channel.  The channel's capacity covers the worst-case
-// tail (every puller delivering its final End result after the
-// consumer has stopped reading), so pullers never leak.  Caller holds
-// p.mu and has already probed the stream (p.nextBase >= 0).
-func (p *InPort) startWindowLocked() {
+// startPullersLocked arms read-ahead: p.window puller goroutines, each
+// keeping one Transfer on the wire, all feeding one bounded ahead
+// channel.  The channel's capacity covers the worst-case tail (every
+// puller delivering its final End result after the consumer has
+// stopped reading), so pullers never leak.  Caller holds p.mu and has
+// already anchored the stream (p.nextBase >= 0).
+func (p *InPort) startPullersLocked() {
+	// The goroutines work on local copies of the channels: Redirect
+	// nils p.ahead (under p.mu) while the pullers are still draining,
+	// so reading the fields from the closures would race.
 	ahead := make(chan pulled, p.window+p.pref)
 	stop := make(chan struct{})
 	p.ahead = ahead
@@ -304,59 +257,41 @@ func (p *InPort) startWindowLocked() {
 	}()
 }
 
-// absorb integrates one pulled batch under p.mu.
-func (p *InPort) absorbLocked(res pulled) {
-	if res.err != nil {
-		p.done = true
-		p.err = res.err
-		return
-	}
-	p.pending = append(p.pending, res.items...)
-	if res.rep != nil {
-		releaseTransferReply(res.rep)
-	}
-	if res.status == StatusEnd {
-		p.done = true
-	}
-}
-
-// absorbWindowedLocked integrates one windowed result: batches are
-// stashed by stream offset and released to pending in order.  Caller
+// absorbLocked integrates one Transfer result in stream order: a
+// result whose Base is ahead of the consumer is stashed, and the
+// contiguous prefix moves to pending.  With one Transfer outstanding
+// (Window 1) every result is next by construction, so it re-anchors
+// the expected offset rather than trusting Base to be dense.  Caller
 // holds p.mu.
-func (p *InPort) absorbWindowedLocked(res pulled) {
+func (p *InPort) absorbLocked(res pulled) {
 	if res.err != nil {
 		p.done = true
 		p.err = res.err
 		p.releaseReorderLocked()
 		return
 	}
+	if p.window == 1 || p.nextBase < 0 {
+		p.nextBase = res.base
+	}
 	if res.status == StatusEnd {
 		if end := res.base + int64(len(res.items)); p.streamLen < 0 || end > p.streamLen {
 			p.streamLen = end
 		}
 	}
-	// Duplicate bases can only be empty End replies (several pullers
-	// observing the end of the drained stream); keep one.
-	if old, ok := p.reorder[res.base]; ok {
-		releasePulled(old)
-	}
-	p.reorder[res.base] = res
-	p.advanceLocked()
-	if n := len(p.reorder); n > 0 {
-		p.met.MergeReorderHighWater.Observe(int64(n))
-	}
-}
-
-// advanceLocked drains the reorder buffer's contiguous prefix into
-// pending and marks the stream done once everything up to the End
-// offset has been surfaced.  Caller holds p.mu.
-func (p *InPort) advanceLocked() {
-	for {
-		res, ok := p.reorder[p.nextBase]
-		if !ok {
-			break
+	if res.base != p.nextBase {
+		// Duplicate bases can only be empty End replies (several
+		// pullers observing the end of the drained stream); keep one.
+		if old, ok := p.reorder[res.base]; ok {
+			releasePulled(old)
 		}
-		delete(p.reorder, p.nextBase)
+		if p.reorder == nil {
+			p.reorder = make(map[int64]pulled)
+		}
+		p.reorder[res.base] = res
+		p.met.MergeReorderHighWater.Observe(int64(len(p.reorder)))
+		return
+	}
+	for {
 		p.pending = append(p.pending, res.items...)
 		if res.rep != nil {
 			releaseTransferReply(res.rep)
@@ -365,6 +300,12 @@ func (p *InPort) advanceLocked() {
 			break // empty End reply: the offset does not advance
 		}
 		p.nextBase += int64(len(res.items))
+		next, ok := p.reorder[p.nextBase]
+		if !ok {
+			break
+		}
+		delete(p.reorder, p.nextBase)
+		res = next
 	}
 	if p.streamLen >= 0 && p.nextBase >= p.streamLen {
 		p.done = true
@@ -400,78 +341,30 @@ func (p *InPort) Next() ([]byte, error) {
 			}
 			return nil, io.EOF
 		}
-		if p.window > 1 {
-			if p.nextBase < 0 {
-				// Probe: one synchronous Transfer learns the stream
-				// offset this port starts at, so the reorder logic has
-				// an anchor before concurrent pulls begin.
-				p.mu.Unlock()
-				res := p.transfer()
-				p.mu.Lock()
-				if p.done && p.err != nil {
-					releasePulled(res)
-					continue // cancelled while waiting
-				}
-				if res.err == nil {
-					p.nextBase = res.base + int64(len(res.items))
-					if res.status == StatusEnd {
-						p.streamLen = p.nextBase
-					}
-				}
-				p.absorbLocked(res)
-				continue
-			}
+		var res pulled
+		if p.nextBase < 0 || p.window == 1 && p.pref == 0 {
+			// Inline pull on the consumer goroutine, issued without
+			// holding the lock so Cancel can proceed: demand-driven
+			// reading, and the probe that anchors a read-ahead port's
+			// stream offset before concurrent pulls begin.
+			p.mu.Unlock()
+			res = p.transfer()
+			p.mu.Lock()
+		} else {
 			if !p.pullerOn {
-				p.startWindowLocked()
+				p.startPullersLocked()
 			}
 			ahead := p.ahead
 			p.mu.Unlock()
-			res, ok := <-ahead
+			var ok bool
+			res, ok = <-ahead
 			p.mu.Lock()
-			if p.done && p.err != nil {
-				if ok {
-					releasePulled(res)
-				}
-				continue // cancelled while waiting
-			}
 			if !ok {
-				if !p.done {
-					p.done = true
-				}
+				// The pullers exited without a final status (cancelled).
+				p.done = true
 				continue
 			}
-			p.absorbWindowedLocked(res)
-			continue
 		}
-		if p.pref > 0 {
-			if !p.pullerOn {
-				p.startPullerLocked()
-			}
-			ahead := p.ahead
-			p.mu.Unlock()
-			res, ok := <-ahead
-			p.mu.Lock()
-			if p.done && p.err != nil {
-				if ok {
-					releasePulled(res)
-				}
-				continue // cancelled while waiting
-			}
-			if !ok {
-				// Puller exited without a final status (cancelled).
-				if !p.done {
-					p.done = true
-				}
-				continue
-			}
-			p.absorbLocked(res)
-			continue
-		}
-		// Demand-driven: one synchronous Transfer, issued without
-		// holding the lock so Cancel can proceed.
-		p.mu.Unlock()
-		res := p.transfer()
-		p.mu.Lock()
 		if p.done && p.err != nil {
 			releasePulled(res)
 			continue // cancelled while waiting
@@ -507,9 +400,7 @@ func (p *InPort) Cancel(msg string) {
 	}
 	wire.ReleaseAll(p.pending) // undelivered items die with the stream
 	p.pending = nil
-	if p.reorder != nil {
-		p.releaseReorderLocked()
-	}
+	p.releaseReorderLocked()
 	ahead := p.ahead
 	if p.pullerOn {
 		close(p.stopPull)

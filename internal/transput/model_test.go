@@ -35,14 +35,10 @@ func TestPassiveBufferAgainstFIFOModel(t *testing.T) {
 				model = append(model, item)
 			}
 
-			// Writer pushes with random batch sizes — through a plain
-			// Pusher (stop-and-wait) or a WOOutPort send window.
-			var push ItemWriter
-			if wnd := rng.Intn(5); wnd > 1 {
-				push = NewWOOutPort(k, uid.Nil, bufID, Chan(0), WOOutPortConfig{Batch: rng.Intn(5) + 1, Window: wnd})
-			} else {
-				push = NewPusher(k, uid.Nil, bufID, Chan(0), PusherConfig{Batch: rng.Intn(5) + 1})
-			}
+			// Writer pushes with random batch sizes and a random send
+			// window (0 and 1 are both stop-and-wait).
+			wnd := rng.Intn(5)
+			push := NewPusher(k, uid.Nil, bufID, Chan(0), PusherConfig{Batch: rng.Intn(5) + 1, Window: wnd})
 			go func() {
 				for _, item := range model {
 					if err := push.Put(item); err != nil {

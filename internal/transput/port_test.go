@@ -335,7 +335,9 @@ func TestUnknownOpOnStage(t *testing.T) {
 // on F does not help: F cannot distinguish this from one Eject making
 // the same total number of Read invocations."  Two pullers on one
 // channel split the stream — each item is delivered exactly once, to
-// whichever reader's Transfer got there first.
+// whichever reader's Transfer got there first.  Reader 0 pulls on
+// demand and reader 1 reads ahead; at Window 1 neither may rely on
+// dense TransferReply.Base offsets, which a shared channel never gives.
 func TestReadersIndistinguishable(t *testing.T) {
 	k := testKernel(t)
 	const total = 400
@@ -348,7 +350,7 @@ func TestReadersIndistinguishable(t *testing.T) {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			in := NewInPort(k, uid.Nil, src, Chan(0), InPortConfig{})
+			in := NewInPort(k, uid.Nil, src, Chan(0), InPortConfig{Prefetch: 2 * r})
 			for {
 				item, err := in.Next()
 				if err == io.EOF {

@@ -13,8 +13,8 @@
 //
 //   - The "write only" discipline is the exact dual: active output +
 //     passive input.  A producer invokes Deliver on its sink; the sink
-//     responds by accepting the data.  Types: WOOutPort (active
-//     output) and WOInPort (passive input).
+//     responds by accepting the data.  Types: Pusher (active output)
+//     and WOInPort (passive input).
 //
 //   - The conventional discipline (the Unix model transliterated into
 //     Eden, the paper's baseline) uses both active operations with a
@@ -187,8 +187,8 @@ type TransferReply struct {
 	// Base is the stream offset of Items[0]: the count of items the
 	// channel had served before this reply.  A windowed reader (several
 	// Transfer invocations in flight at once) uses Base to reassemble
-	// batches in stream order; with a single outstanding Transfer the
-	// field is redundant and ignored.
+	// batches in stream order; with a single outstanding Transfer each
+	// reply is next in order anyway, and Base need not be dense.
 	Base int64
 }
 
@@ -198,11 +198,11 @@ type DeliverRequest struct {
 	Items   [][]byte
 	// End marks this writer's final delivery.  Items may accompany it.
 	End bool
-	// Writer identifies the active-output port when it keeps several
-	// Deliver invocations in flight (the windowed WOOutPort).  The sink
-	// serialises deliveries per writer by Seq, so concurrency cannot
-	// reorder the stream.  A nil Writer (the classic Pusher, one
-	// outstanding Deliver) bypasses sequencing entirely.
+	// Writer identifies the sending Pusher; every Pusher sends one, at
+	// any window.  The sink serialises deliveries per writer by Seq, so
+	// a window of concurrent Delivers cannot reorder the stream.  A nil
+	// Writer (a bare Deliver invocation, one at a time) bypasses
+	// sequencing entirely.
 	Writer uid.UID
 	// Seq numbers this writer's deliveries from 0; the End delivery
 	// carries the final sequence number.  Ignored when Writer is nil.

@@ -62,77 +62,54 @@ func (p *InPort) Redirect(source uid.UID, channel ChannelID, msg string) error {
 	defer p.mu.Unlock()
 	// Salvage data the pullers had already fetched before the abort
 	// reached the old source — arrived data is kept, per the contract.
+	// absorbLocked keeps stream order; a batch beyond a gap is
+	// indistinguishable from one that never arrived (its predecessor
+	// was lost to the abort), so it is discarded rather than surfaced
+	// out of order.
 	if oldAhead != nil {
-		if p.window > 1 {
-			// Windowed: batches arrive out of order, so reassemble the
-			// contiguous prefix from the expected offset.  A batch
-			// beyond a gap is indistinguishable from one that never
-			// arrived (its predecessor was lost to the abort), so it is
-			// discarded rather than surfaced out of order.
-			for res := range oldAhead {
-				if res.err != nil {
-					continue
-				}
-				if old, ok := p.reorder[res.base]; ok && old.rep != nil {
-					releaseTransferReply(old.rep)
-				}
-				p.reorder[res.base] = res
-			}
-			for {
-				res, ok := p.reorder[p.nextBase]
-				if !ok || len(res.items) == 0 {
-					break
-				}
-				delete(p.reorder, p.nextBase)
-				p.pending = append(p.pending, res.items...)
-				if res.rep != nil {
-					releaseTransferReply(res.rep)
-				}
-				p.nextBase += int64(len(res.items))
-			}
-			p.releaseReorderLocked()
-		} else {
-			for res := range oldAhead {
-				if res.err == nil {
-					p.pending = append(p.pending, res.items...)
-					if res.rep != nil {
-						releaseTransferReply(res.rep)
-					}
-				}
+		for res := range oldAhead {
+			if res.err == nil {
+				p.absorbLocked(res)
 			}
 		}
 	}
+	p.releaseReorderLocked()
 	p.source = source
 	p.channel = channel
 	p.req.Channel = channel // the reused request must follow the retarget
 	p.done = false
 	p.err = nil
-	if p.window > 1 {
-		// The new stream has its own offsets: re-anchor via a fresh
-		// probe on the next read.
-		p.nextBase = -1
-		p.streamLen = -1
-	}
+	// The new stream has its own offsets: the next pull re-anchors.
+	p.nextBase = -1
+	p.streamLen = -1
 	return nil
 }
 
 // Redirect retargets a Pusher at a new sink/channel.  Any buffered
 // partial batch is flushed to the OLD target first (those items were
-// written before the redirection), and the old channel is left open —
-// in the write-only discipline a sink must expect its writers to come
-// and go; End is only sent by Close.  A closed pusher cannot be
-// redirected.
+// written before the redirection), and every outstanding delivery to
+// it is collected.  The old channel is left open — in the write-only
+// discipline a sink must expect its writers to come and go; End is
+// only sent by Close.  The new stream starts at sequence 0 under a
+// fresh writer identity, since a sink expects an unseen writer at 0.
+// A closed or failed pusher cannot be redirected.
 func (w *Pusher) Redirect(target uid.UID, channel ChannelID) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
 		return ErrClosed
 	}
-	if err := w.flushLocked(false); err != nil {
-		return err
+	if w.err == nil && len(w.pending) > 0 {
+		w.sendLocked(false, w.threshold())
+	}
+	w.drainLocked()
+	if w.err != nil {
+		return w.err
 	}
 	w.target = target
 	w.channel = channel
-	w.req.Channel = channel // the reused request must follow the retarget
+	w.writer = w.k.NewUID()
+	w.seq = 0
+	w.limit = w.window
 	return nil
 }

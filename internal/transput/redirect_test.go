@@ -7,6 +7,7 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"asymstream/internal/uid"
 )
@@ -149,46 +150,76 @@ func TestRedirectCancelledPortFails(t *testing.T) {
 	}
 }
 
+// TestPusherRedirect retargets a live pusher A -> B -> A.  Items
+// pending at each switch go to the target they were written for, each
+// sink sees exactly its items in order, and the return to A works
+// because a redirected pusher starts over at sequence 0 under a fresh
+// writer identity (A still remembers the old one's next sequence).
 func TestPusherRedirect(t *testing.T) {
-	k := testKernel(t)
-	var gotA, gotB [][]byte
-	var muA, muB sync.Mutex
-	sinkA, stA := registerWOSink(t, k, &gotA, &muA, WOStageConfig{Name: "A"})
-	sinkB, stB := registerWOSink(t, k, &gotB, &muB, WOStageConfig{Name: "B"})
+	for _, window := range []int{1, 4} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			k := testKernel(t)
+			var gotA, gotB [][]byte
+			var muA, muB sync.Mutex
+			sinkA, stA := registerWOSink(t, k, &gotA, &muA, WOStageConfig{Name: "A"})
+			sinkB, stB := registerWOSink(t, k, &gotB, &muB, WOStageConfig{Name: "B"})
+			chA, chB := stA.Reader(0).ID(), stB.Reader(0).ID()
 
-	p := NewPusher(k, uid.Nil, sinkA, Chan(0), PusherConfig{Batch: 2})
-	// Three items: two flush to A as a batch, the third is pending
-	// when we redirect — it must flush to A (it was written first).
-	for i := 0; i < 3; i++ {
-		if err := p.Put([]byte(fmt.Sprintf("a%d", i))); err != nil {
-			t.Fatal(err)
-		}
+			p := NewPusher(k, uid.Nil, sinkA, chA, PusherConfig{Batch: 2, Window: window})
+			put := func(prefix string, from, to int) {
+				for i := from; i < to; i++ {
+					if err := p.Put([]byte(fmt.Sprintf("%s%d", prefix, i))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// Odd counts leave an item pending at every switch.
+			put("a", 0, 5)
+			if err := p.Redirect(sinkB, chB); err != nil {
+				t.Fatal(err)
+			}
+			put("b", 0, 5)
+			if err := p.Redirect(sinkA, chA); err != nil {
+				t.Fatal(err)
+			}
+			put("a", 5, 9)
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			<-stA.Done()
+			if err := stA.Err(); err != nil {
+				t.Fatal(err)
+			}
+			expect := func(name string, mu *sync.Mutex, got *[][]byte, prefix string, n int) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for {
+					mu.Lock()
+					have := len(*got)
+					mu.Unlock()
+					if have >= n || time.Now().After(deadline) {
+						break
+					}
+					time.Sleep(time.Millisecond)
+				}
+				mu.Lock()
+				defer mu.Unlock()
+				if len(*got) != n {
+					t.Fatalf("sink %s got %d items, want %d", name, len(*got), n)
+				}
+				for i, item := range *got {
+					if want := fmt.Sprintf("%s%d", prefix, i); string(item) != want {
+						t.Fatalf("sink %s item %d = %q, want %q", name, i, item, want)
+					}
+				}
+			}
+			expect("A", &muA, &gotA, "a", 9)
+			expect("B", &muB, &gotB, "b", 5)
+			// Sink B never received End; release it so the test harness
+			// can shut down cleanly.
+			stB.Reader(0).Cancel("test over")
+		})
 	}
-	if err := p.Redirect(sinkB, stB.Reader(0).ID()); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Put([]byte("b0")); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Close(); err != nil {
-		t.Fatal(err)
-	}
-	<-stB.Done()
-	muA.Lock()
-	nA := len(gotA)
-	muA.Unlock()
-	if nA != 3 {
-		t.Fatalf("sink A got %d items, want 3", nA)
-	}
-	muB.Lock()
-	defer muB.Unlock()
-	if len(gotB) != 1 || string(gotB[0]) != "b0" {
-		t.Fatalf("sink B got %q", gotB)
-	}
-	// Sink A never received End; release it so the test harness can
-	// shut down cleanly.
-	stA.Reader(0).Cancel("test over")
-	_ = stA
 }
 
 func TestPusherRedirectClosedFails(t *testing.T) {

@@ -100,11 +100,11 @@ type woChannel struct {
 	ends         int
 	abortErr     *AbortedError
 
-	// seq orders concurrent deliveries from windowed writers: a Deliver
-	// carrying a Writer UID is held (cond-wait) until its Seq is the
-	// writer's next expected one, so a window of K in-flight Delivers
-	// cannot reorder the stream.  Legacy writers (nil Writer, one
-	// outstanding Deliver) bypass the gate entirely.
+	// seq orders concurrent deliveries per writer: a Deliver carrying a
+	// Writer UID (every Pusher's do) is held (cond-wait) until its Seq
+	// is the writer's next expected one, so a window of K in-flight
+	// Delivers cannot reorder the stream.  A bare Deliver with a nil
+	// Writer bypasses the gate.
 	seq seqGate
 
 	deliversServed int64
@@ -269,16 +269,16 @@ func (p *WOInPort) ServeDeliver(inv *kernel.Invocation) {
 		return
 	}
 	if !req.Writer.IsNil() {
-		// Windowed writer: hold this delivery until it is the writer's
-		// next in sequence.  The parked kernel worker is the window's
-		// cost; MaxWindow keeps it below the pool size.
+		// Hold this delivery until it is the writer's next in
+		// sequence.  The parked kernel worker is the window's cost;
+		// MaxWindow keeps it below the pool size.
 		for ch.seq.expected(req.Writer) != req.Seq && ch.abortErr == nil {
 			ch.wait()
 		}
 	}
 	// Absorb the item references themselves.  The writer side always
-	// hands over fresh (or already-superseded) slices: Pusher/WOOutPort
-	// copy on Put unless given ownership, and a request decoded off an
+	// hands over fresh (or already-superseded) slices: Pusher copies on
+	// Put unless given ownership, and a request decoded off an
 	// encoded node hop is fresh by construction.  Skipping the copy here
 	// is the write-only discipline's zero-copy path.
 	absorbed := 0
@@ -500,31 +500,65 @@ var _ ItemReader = (*ChannelReader)(nil)
 // against a target Eject's input channel.  It implements ItemWriter.
 // One Eject may hold many Pushers — that is the write-only
 // discipline's arbitrary fan-out (Figure 3).
+//
+// Window is the number of Deliver invocations kept outstanding.  An
+// Eden invocation does not suspend its sender (§1), so the paper's
+// stop-and-wait is this same engine at Window 1: each Deliver is sent
+// asynchronously, the uncollected calls wait in issue order, and the
+// pusher collects the oldest whenever the window is full.  When Put or
+// Flush returns, at most Window-1 deliveries are unacknowledged — none
+// at Window 1, where blocking on each reply is the back pressure.
+//
+// Order is kept by the protocol: every delivery carries the pusher's
+// Writer UID and a sequence number, and the sink holds a delivery
+// until its Seq is the writer's next.  Calls are issued in sequence
+// order and collected in the same order, so the oldest outstanding
+// delivery has no uncollected predecessor and the sink's sequence gate
+// never holds it.
+//
+// Flow control is credit-based: each DeliverReply reports how many
+// more items the sink could buffer (Credits), and the pusher shrinks
+// its window when credits run low so it does not park sink workers on
+// a full buffer.  At least one delivery is always allowed, which is
+// how the window re-learns the credit level.
 type Pusher struct {
 	k       *kernel.Kernel
 	met     *metrics.Set
 	caller  *kernel.Caller
-	self    uid.UID
 	target  uid.UID
 	channel ChannelID
+	writer  uid.UID
 	batch   int
+	window  int
 	// ctrl, when non-nil, sizes batches adaptively (AIMD) instead of
 	// the fixed batch.
 	ctrl *batchController
 
 	mu      sync.Mutex
 	pending [][]byte
+	seq     uint64
 	closed  bool
+	err     error // first delivery failure, sticky
 
-	// req is the pusher's reusable Deliver request record.  At most
-	// one Deliver is outstanding per Pusher (flushLocked runs under
-	// w.mu) and the server copies items into its buffer before
-	// replying, so the record and the pending backing array are both
-	// safe to reuse once Invoke returns.
-	req DeliverRequest
+	// out is a ring of window delivery records; the outstanding ones
+	// are out[head], out[head+1], ... (mod window), oldest first.
+	// limit is the credit-adjusted window, 1..window.
+	out    []delivery
+	head   int
+	active int
+	limit  int
 
 	deliversIssued int64
-	itemsOut       int64
+}
+
+// delivery is one Deliver invocation: its request record (whose Items
+// backing array is reused once the reply is collected), the
+// outstanding call, and the adaptive controller's feedback.
+type delivery struct {
+	req   DeliverRequest
+	call  *kernel.Call
+	asked int
+	start time.Time
 }
 
 // PusherConfig parameterises a Pusher.
@@ -532,6 +566,9 @@ type PusherConfig struct {
 	// Batch is the number of items per Deliver; <=0 means 1 (the
 	// paper-faithful count of one datum per invocation).
 	Batch int
+	// Window is the number of Deliver invocations kept outstanding,
+	// clamped to [1, MaxWindow]; 1 is stop-and-wait.
+	Window int
 	// BatchMax > 0 makes the batch size adaptive within
 	// [max(1, BatchMin), BatchMax], overriding Batch (see InPortConfig).
 	BatchMin int
@@ -543,20 +580,18 @@ func NewPusher(k *kernel.Kernel, self, target uid.UID, channel ChannelID, cfg Pu
 	if k == nil {
 		panic("transput: NewPusher requires a kernel")
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = 1
-	}
 	w := &Pusher{
 		k:       k,
 		met:     k.Metrics(),
 		caller:  k.Caller(self),
-		self:    self,
 		target:  target,
 		channel: channel,
-		batch:   batch,
-		req:     DeliverRequest{Channel: channel},
+		writer:  k.NewUID(),
+		batch:   max(cfg.Batch, 1),
+		window:  min(max(cfg.Window, 1), MaxWindow),
 	}
+	w.limit = w.window
+	w.out = make([]delivery, w.window)
 	if cfg.BatchMax > 0 {
 		w.ctrl = newBatchController(cfg.BatchMin, cfg.BatchMax, &w.met.BatchSizeHighWater)
 	}
@@ -569,57 +604,92 @@ func (w *Pusher) Target() uid.UID { return w.target }
 // Channel returns the channel identifier this pusher delivers on.
 func (w *Pusher) Channel() ChannelID { return w.channel }
 
-// flushLocked sends pending items (and optionally End).  Caller holds
-// w.mu; the invocation itself runs without the lock is NOT needed —
-// blocking here is exactly the back pressure the protocol intends.
-func (w *Pusher) flushLocked(end bool) error {
-	if len(w.pending) == 0 && !end {
-		return nil
-	}
-	asked := w.batch
-	var start time.Time
+// threshold returns the batch size currently in force.
+func (w *Pusher) threshold() int {
 	if w.ctrl != nil {
-		asked = w.ctrl.next()
-		start = time.Now()
+		return w.ctrl.next()
 	}
-	n := len(w.pending)
+	return w.batch
+}
+
+// sendLocked issues the pending items (and optionally End) as the next
+// Deliver, then collects replies, oldest first, until fewer than limit
+// are outstanding — the window gate.  asked is the batch size the
+// producer was filling toward (the adaptive controller's feedback).
+// Caller holds w.mu; blocking here is the protocol's back pressure.
+func (w *Pusher) sendLocked(end bool, asked int) {
+	d := &w.out[(w.head+w.active)%w.window]
+	d.req.Items, w.pending = w.pending, d.req.Items
+	d.req.Channel = w.channel
+	d.req.Writer = w.writer
+	d.req.Seq = w.seq
+	d.req.End = end
+	d.asked = asked
+	if w.ctrl != nil {
+		d.start = time.Now()
+	}
+	w.seq++
 	w.deliversIssued++
-	w.itemsOut += int64(n)
-	w.req.Items = w.pending
-	w.req.End = end
-	raw, err := w.caller.Invoke(w.target, OpDeliver, &w.req)
-	// On success the sink has absorbed the item references (or, across
-	// an encoded node hop, the decoded copies superseded them and netsim
-	// released any views).  Drop our pointers but keep the backing array
-	// for the next batch.  An invocation that never reached the sink
-	// leaves the items to die here.
+	w.active++
+	w.met.WindowDepthHighWater.Observe(int64(w.active))
+	d.call = w.caller.Send(w.target, OpDeliver, &d.req)
+	for w.active >= w.limit {
+		w.collectLocked()
+	}
+}
+
+// collectLocked waits for the oldest outstanding Deliver and applies
+// its reply: a failure becomes the sticky error, a success's Credits
+// set the limit.  Caller holds w.mu.
+func (w *Pusher) collectLocked() {
+	d := &w.out[w.head]
+	w.head = (w.head + 1) % w.window
+	w.active--
+	raw, err := d.call.Collect()
+	d.call = nil
 	if err != nil {
-		wire.ReleaseAll(w.pending)
+		// The invocation never reached the sink; the batch dies here.
+		// (On a non-OK reply the sink owns the cleanup of whatever it
+		// did not absorb.)
+		wire.ReleaseAll(d.req.Items)
+	} else if rep, ok := raw.(*DeliverReply); !ok {
+		err = fmt.Errorf("transput: bad Deliver reply type %T", raw)
+	} else if rep.Status != StatusOK {
+		err = statusErr(rep.Status, rep.AbortMsg) // copies the message
+	} else {
+		if w.ctrl != nil && len(d.req.Items) > 0 {
+			w.ctrl.record(d.asked, len(d.req.Items), time.Since(d.start))
+		}
+		// Credit rule: leave the sink at least one batch of slack per
+		// outstanding delivery; never stall completely, so the next
+		// reply can raise the limit again.
+		lim := 1 + rep.Credits/w.threshold()
+		if lim > w.window {
+			lim = w.window
+		}
+		w.limit = lim
+		releaseDeliverReply(rep)
 	}
-	for i := range w.pending {
-		w.pending[i] = nil
+	// The sink has absorbed the item references (or, across an encoded
+	// node hop, decoded copies superseded them); keep only the backing
+	// array for a later batch.
+	clear(d.req.Items)
+	d.req.Items = d.req.Items[:0]
+	if err != nil && w.err == nil {
+		w.err = err
 	}
-	w.pending = w.pending[:0]
-	w.req.Items = nil
-	if err != nil {
-		return err
+}
+
+// drainLocked collects every outstanding Deliver.  Caller holds w.mu.
+func (w *Pusher) drainLocked() {
+	for w.active > 0 {
+		w.collectLocked()
 	}
-	rep, ok := raw.(*DeliverReply)
-	if !ok {
-		return fmt.Errorf("transput: bad Deliver reply type %T", raw)
-	}
-	if rep.Status != StatusOK {
-		return statusErr(rep.Status, rep.AbortMsg) // copies the message
-	}
-	if w.ctrl != nil && n > 0 {
-		w.ctrl.record(asked, n, time.Since(start))
-	}
-	releaseDeliverReply(rep)
-	return nil
 }
 
 // Put queues one item, delivering when a full batch accumulates.  The
-// item is copied.
+// item is copied.  A delivery failure is reported by this or a later
+// Put.
 func (w *Pusher) Put(item []byte) error { return w.put(item, false) }
 
 // PutOwned queues the item slice itself, taking ownership (see
@@ -629,11 +699,15 @@ func (w *Pusher) PutOwned(item []byte) error { return w.put(item, true) }
 func (w *Pusher) put(item []byte, owned bool) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	err := w.err
 	if w.closed {
+		err = ErrClosed
+	}
+	if err != nil {
 		if owned {
 			wire.Release(item)
 		}
-		return ErrClosed
+		return err
 	}
 	if owned {
 		w.met.WireBytesSaved.Add(int64(len(item)))
@@ -641,14 +715,10 @@ func (w *Pusher) put(item []byte, owned bool) error {
 	} else {
 		w.pending = append(w.pending, append([]byte(nil), item...))
 	}
-	threshold := w.batch
-	if w.ctrl != nil {
-		threshold = w.ctrl.next()
+	if t := w.threshold(); len(w.pending) >= t {
+		w.sendLocked(false, t)
 	}
-	if len(w.pending) >= threshold {
-		return w.flushLocked(false)
-	}
-	return nil
+	return w.err
 }
 
 // Flush forces out any partial batch.
@@ -658,10 +728,15 @@ func (w *Pusher) Flush() error {
 	if w.closed {
 		return ErrClosed
 	}
-	return w.flushLocked(false)
+	if w.err == nil && len(w.pending) > 0 {
+		w.sendLocked(false, w.threshold())
+	}
+	return w.err
 }
 
-// Close flushes and sends this writer's End mark.
+// Close sends this writer's final delivery (any partial batch plus the
+// End mark), collects every outstanding reply, and reports the first
+// delivery failure, if any.
 func (w *Pusher) Close() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -669,24 +744,30 @@ func (w *Pusher) Close() error {
 		return nil
 	}
 	w.closed = true
-	return w.flushLocked(true)
+	if w.err == nil {
+		w.sendLocked(true, w.threshold())
+	}
+	w.drainLocked()
+	return w.err
 }
 
-// CloseWithError aborts the target channel.
+// CloseWithError aborts the target channel.  The Abort is sent before
+// the outstanding deliveries are collected: it releases any of them
+// parked at a stalled sink.
 func (w *Pusher) CloseWithError(err error) error {
 	if err == nil {
 		return w.Close()
 	}
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if w.closed {
-		w.mu.Unlock()
 		return nil
 	}
 	w.closed = true
 	wire.ReleaseAll(w.pending) // the abort drops the partial batch
 	w.pending = nil
-	w.mu.Unlock()
 	_, aerr := w.caller.Invoke(w.target, OpAbort, &AbortRequest{Channel: w.channel, Msg: err.Error()})
+	w.drainLocked()
 	return aerr
 }
 

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"asymstream/internal/kernel"
+	"asymstream/internal/netsim"
 	"asymstream/internal/uid"
 	"asymstream/internal/wire"
 )
@@ -261,6 +263,156 @@ func TestPusherCloseWithErrorAborts(t *testing.T) {
 	err := sink.Err()
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("sink error = %v, want abort", err)
+	}
+
+	// Against a stalled sink (capacity 1, never read) CloseWithError
+	// must send its Abort before collecting the deliveries parked
+	// there, or it waits for them forever.
+	for _, window := range []int{1, 4} {
+		t.Run(fmt.Sprintf("stalled/window=%d", window), func(t *testing.T) {
+			k := testKernel(t)
+			met := k.Metrics()
+			port := NewWOInPort(k, WOInPortConfig{})
+			reader := port.Declare("in", 0, 1, 1)
+			id := k.NewUID()
+			if err := k.CreateWithUID(id, &woPortEject{p: port}, 0); err != nil {
+				t.Fatal(err)
+			}
+			slab := wire.NewSlab(met, 1<<14)
+			p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Window: window})
+			// As many Puts as return without a reader: the first fills
+			// the sink, up to window-1 more stay parked at it.
+			for i := 0; i < max(1, window-1); i++ {
+				v := slab.Alloc(8)
+				copy(v, fmt.Sprintf("item-%02d", i))
+				if err := p.PutOwned(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			done := make(chan error, 1)
+			go func() { done <- p.CloseWithError(errors.New("giving up")) }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("CloseWithError hung on a stalled sink")
+			}
+			if _, err := reader.Next(); !errors.Is(err, ErrAborted) {
+				t.Fatalf("reader after abort: %v", err)
+			}
+			if n := slab.Close(); n != 0 || met.SlabLeaked.Value() != 0 {
+				t.Fatalf("slab leak audit: %d views outstanding, SlabLeaked=%d", n, met.SlabLeaked.Value())
+			}
+		})
+	}
+}
+
+// holdSink is a Deliver target that reports each arrival and holds
+// its reply until the test releases it, so the test decides when a
+// delivery is acknowledged.
+type holdSink struct {
+	arrived chan struct{}
+	release chan struct{}
+	acked   atomic.Int64
+}
+
+func (h *holdSink) EdenType() string { return "test-hold-sink" }
+func (h *holdSink) Serve(inv *kernel.Invocation) {
+	h.arrived <- struct{}{}
+	<-h.release
+	h.acked.Add(1)
+	inv.Reply(&DeliverReply{Status: StatusOK, Credits: 1 << 20})
+}
+
+// TestPusherWindowBoundsUnacked pins the window's back pressure: when
+// Put returns, at most Window-1 deliveries are unacknowledged — none
+// at Window 1, the paper's stop-and-wait.  The sink acknowledges a
+// delivery only once the pusher has filled its window, so the bound
+// is reached, not merely respected.
+func TestPusherWindowBoundsUnacked(t *testing.T) {
+	for _, window := range []int{1, 4} {
+		t.Run(fmt.Sprintf("window=%d", window), func(t *testing.T) {
+			k := testKernel(t)
+			const items = 20
+			const delivers = items + 1 // one per item, then End
+			sink := &holdSink{arrived: make(chan struct{}, delivers), release: make(chan struct{})}
+			id := k.NewUID()
+			if err := k.CreateWithUID(id, sink, 0); err != nil {
+				t.Fatal(err)
+			}
+			p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Window: window})
+			unacked := make(chan int64, items)
+			go func() {
+				defer close(unacked)
+				for i := 0; i < items; i++ {
+					if err := p.Put([]byte("x")); err != nil {
+						t.Error(err)
+						return
+					}
+					unacked <- p.DeliversIssued() - sink.acked.Load()
+				}
+				if err := p.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+			timeout := time.After(10 * time.Second)
+			arrived := 0
+			for acked := 0; acked < delivers; acked++ {
+				for arrived < min(acked+window, delivers) {
+					select {
+					case <-sink.arrived:
+						arrived++
+					case <-timeout:
+						t.Fatalf("window never filled: %d arrived, %d acknowledged", arrived, acked)
+					}
+				}
+				sink.release <- struct{}{}
+			}
+			var peak int64
+			for n := range unacked {
+				if n > int64(window-1) {
+					t.Fatalf("Put returned with %d deliveries unacknowledged, window %d", n, window)
+				}
+				peak = max(peak, n)
+			}
+			if peak != int64(window-1) {
+				t.Fatalf("peak unacknowledged after Put = %d, want %d", peak, window-1)
+			}
+		})
+	}
+}
+
+// TestPusherWindowOverlapsWireLatency pins that a window of K
+// Delivers overlaps the wire round trips instead of queueing them.
+// The pusher issues every Deliver from the producer's goroutine, so
+// this holds only because the kernel carries both legs of a hop on
+// the serving side and never suspends the invoker (§1).
+func TestPusherWindowOverlapsWireLatency(t *testing.T) {
+	elapsed := func(window int) time.Duration {
+		k := crossNodeKernel(t, netsim.Config{CrossLatency: 5 * time.Millisecond})
+		port := NewWOInPort(k, WOInPortConfig{})
+		port.Declare("in", 0, 64, 1)
+		id := k.NewUID()
+		if err := k.CreateWithUID(id, &woPortEject{p: port}, 1); err != nil {
+			t.Fatal(err)
+		}
+		p := NewPusher(k, uid.Nil, id, Chan(0), PusherConfig{Window: window})
+		start := time.Now()
+		for i := 0; i < 12; i++ {
+			if err := p.Put([]byte("x")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	one, four := elapsed(1), elapsed(4)
+	if 2*four > one {
+		t.Fatalf("window 4 took %v against %v at window 1: round trips did not overlap", four, one)
 	}
 }
 
