@@ -42,12 +42,14 @@ vet-custom:
 ## cover-floor: statement-coverage floor for the packages whose
 ## correctness arguments lean on tests — the wire codec/slab layer,
 ## the analyzer suite itself, the real-wire transport (bridge, remote
-## sources, socket links) and the striped table layer.
+## sources, socket links), the striped table layer and the transput
+## ports, whose one shared stream buffer every discipline runs on.
 cover-floor:
 	@./scripts/cover_floor.sh internal/wire 70
 	@./scripts/cover_floor.sh internal/analysis 70
 	@./scripts/cover_floor.sh internal/transport 70
 	@./scripts/cover_floor.sh internal/stripemap 70
+	@./scripts/cover_floor.sh internal/transput 80
 
 build:
 	$(GO) build ./...

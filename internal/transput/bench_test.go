@@ -114,6 +114,21 @@ func BenchmarkChannelWriterPut(b *testing.B) {
 
 const allocWarmup = 512
 
+// waitAnticipation waits until the source stage has filled its
+// anticipatory buffer.  Until then the source computes several items
+// per consumed one, and a measured hop would also count those extra
+// item copies; once it is full, every hop frees exactly one slot.
+func waitAnticipation(t *testing.T, st *ROStage, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for st.Out().Buffered() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("source buffered %d items, want its anticipation of %d", st.Out().Buffered(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestTransferHopAllocs pins the warm demand-driven pull: item copy at
 // Put, reply record + items slice at ServeTransfer, pending growth.
 func TestTransferHopAllocs(t *testing.T) {
@@ -142,6 +157,7 @@ func TestTransferHopAllocs(t *testing.T) {
 	for i := 0; i < allocWarmup; i++ {
 		hop()
 	}
+	waitAnticipation(t, st, 1024)
 	const ceiling = 6
 	if n := testing.AllocsPerRun(200, hop); n > ceiling {
 		t.Errorf("warm Transfer hop: %.1f allocs/op, ceiling %d", n, ceiling)
@@ -209,6 +225,7 @@ func TestWindowedTransferHopAllocs(t *testing.T) {
 	for i := 0; i < allocWarmup; i++ {
 		hop()
 	}
+	waitAnticipation(t, st, 1024)
 	const ceiling = 8
 	if n := testing.AllocsPerRun(200, hop); n > ceiling {
 		t.Errorf("warm windowed Transfer hop: %.1f allocs/op, ceiling %d", n, ceiling)

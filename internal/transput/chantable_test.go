@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"unsafe"
 
 	"asymstream/internal/uid"
 )
@@ -240,12 +241,24 @@ func TestDeclareRetireChurnAllocs(t *testing.T) {
 
 const warmupChurn = 256
 
+// TestPassiveRecordSizes pins each passive record inside its Go size
+// class: 100k idle gateway pairs sit on these records, so a field
+// that tips one into the next class costs every idle channel.
+func TestPassiveRecordSizes(t *testing.T) {
+	if n := unsafe.Sizeof(streamBuf{}); n > 224 {
+		t.Errorf("passive-output record is %d bytes, want <= 224", n)
+	}
+	if n := unsafe.Sizeof(inBuf{}); n > 352 {
+		t.Errorf("passive-input record is %d bytes, want <= 352", n)
+	}
+}
+
 // TestChurnReusesRecords proves the pool actually recycles: a
 // single-threaded declare→retire loop must revisit records rather
 // than growing the heap per cycle.
 func TestChurnReusesRecords(t *testing.T) {
 	p := NewOutPort(nil, OutPortConfig{})
-	seen := make(map[*outChannel]int)
+	seen := make(map[*streamBuf]int)
 	for i := 0; i < 64; i++ {
 		w := p.Declare("c", 0, 8)
 		seen[w.ch]++

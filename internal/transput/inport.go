@@ -91,7 +91,15 @@ type pulled struct {
 	status Status
 	err    error
 	rep    *TransferReply
-	base   int64 // stream offset of items[0] (TransferReply.Base)
+	base   int64         // stream offset of items[0] (TransferReply.Base)
+	slot   chan struct{} // read-ahead slot the result holds; nil for inline pulls
+}
+
+// freeSlot hands the result's read-ahead slot back to the pullers.
+func (res pulled) freeSlot() {
+	if res.slot != nil {
+		res.slot <- struct{}{}
+	}
 }
 
 // releasePulled discards a pulled batch nobody will consume: any slab
@@ -101,6 +109,7 @@ func releasePulled(res pulled) {
 	if res.rep != nil {
 		releaseTransferReply(res.rep)
 	}
+	res.freeSlot()
 }
 
 // MaxWindow caps the flow-control window so that parked stream
@@ -214,6 +223,15 @@ func (p *InPort) startPullersLocked() {
 	// nils p.ahead (under p.mu) while the pullers are still draining,
 	// so reading the fields from the closures would race.
 	ahead := make(chan pulled, p.window+p.pref)
+	// slots bounds the read-ahead at what the window and ahead channel
+	// hold together: a puller takes a slot per Transfer and the
+	// consumer hands it back once the result is absorbed in order.
+	// Without it, one result delayed in flight lets the other pullers
+	// run arbitrarily far ahead into the reorder stash.
+	slots := make(chan struct{}, 2*p.window+p.pref)
+	for range cap(slots) {
+		slots <- struct{}{}
+	}
 	stop := make(chan struct{})
 	p.ahead = ahead
 	p.stopPull = stop
@@ -228,11 +246,12 @@ func (p *InPort) startPullersLocked() {
 				select {
 				case <-stop:
 					return
-				default:
+				case <-slots:
 				}
 				depth := p.inflight.Add(1)
 				p.met.WindowDepthHighWater.Observe(depth)
 				res := p.transferWith(&req)
+				res.slot = slots
 				p.inflight.Add(-1)
 				select {
 				case ahead <- res:
@@ -296,6 +315,7 @@ func (p *InPort) absorbLocked(res pulled) {
 		if res.rep != nil {
 			releaseTransferReply(res.rep)
 		}
+		res.freeSlot()
 		if len(res.items) == 0 {
 			break // empty End reply: the offset does not advance
 		}
@@ -408,7 +428,19 @@ func (p *InPort) Cancel(msg string) {
 	p.mu.Unlock()
 	// The abort wakes any Transfer worker parked on the channel
 	// (including our own in-flight pull).
-	_, _ = p.caller.Invoke(p.source, OpAbort, &AbortRequest{Channel: p.channel, Msg: msg})
+	if _, err := p.caller.Invoke(p.source, OpAbort, &AbortRequest{Channel: p.channel, Msg: msg}); err != nil {
+		// Undelivered (a shutting-down kernel refuses it): a parked pull
+		// is released only when the source itself is torn down, which
+		// may be queued behind this very Cancel, so the pullers are
+		// reaped in the background.
+		go p.reapPullers(ahead)
+		return
+	}
+	p.reapPullers(ahead)
+}
+
+// reapPullers waits for the pullers to exit and drains what they left.
+func (p *InPort) reapPullers(ahead chan pulled) {
 	p.pullerWG.Wait()
 	p.drainAhead(ahead)
 }

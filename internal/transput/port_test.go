@@ -226,6 +226,68 @@ func TestCancelReleasesBlockedProducer(t *testing.T) {
 	in.Cancel("again") // idempotent
 }
 
+// abortlessSource serves Transfers from an OutPort but refuses
+// OpAbort, as every source looks to a reader once its kernel has begun
+// shutting down.
+type abortlessSource struct{ p *OutPort }
+
+func (s *abortlessSource) EdenType() string { return "test-abortless-source" }
+func (s *abortlessSource) Serve(inv *kernel.Invocation) {
+	if inv.Op == OpAbort || !s.p.Serve(inv) {
+		inv.Fail(kernel.ErrNoSuchOperation)
+	}
+}
+
+// TestCancelWithUndeliveredAbort pins that Cancel does not wait on
+// pullers its abort could not release.  In a kernel shutdown a
+// downstream stage's Cancel can run before its source is torn down,
+// and waiting there would deadlock the shutdown sweep.
+func TestCancelWithUndeliveredAbort(t *testing.T) {
+	k := testKernel(t)
+	port := NewOutPort(k, OutPortConfig{})
+	w := port.Declare("out", 0, 4)
+	id := k.NewUID()
+	if err := k.CreateWithUID(id, &abortlessSource{p: port}, 0); err != nil {
+		t.Fatal(err)
+	}
+	const window = 2
+	in := NewInPort(k, uid.Nil, id, Chan(0), InPortConfig{Window: window})
+	if err := w.Put([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := in.Next(); err != nil { // anchors the stream
+		t.Fatal(err)
+	}
+	go func() { _, _ = in.Next() }() // starts the pullers, which park on the empty channel
+	deadline := time.Now().Add(5 * time.Second)
+	for in.inflight.Load() < window {
+		if time.Now().After(deadline) {
+			t.Fatal("pullers never parked at the source")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	done := make(chan struct{})
+	go func() {
+		in.Cancel("bye")
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Cancel waited on pullers that only the source's teardown can release")
+	}
+	// Tearing the source down releases the parked pullers.
+	if err := w.CloseWithError(errors.New("source gone")); err != nil {
+		t.Fatal(err)
+	}
+	for in.inflight.Load() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("pullers still parked after the source went away")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestCancelAfterEOFSendsNoAbort(t *testing.T) {
 	k := testKernel(t)
 	src, _ := registerItems(t, k, numbered(3), ROStageConfig{})

@@ -311,17 +311,41 @@ func TestPusherCloseWithErrorAborts(t *testing.T) {
 
 // holdSink is a Deliver target that reports each arrival and holds
 // its reply until the test releases it, so the test decides when a
-// delivery is acknowledged.
+// delivery is acknowledged.  Deliveries are released in Seq order:
+// the pusher collects its oldest delivery first, so releasing a
+// younger one would leave the pusher blocked on the oldest.
 type holdSink struct {
 	arrived chan struct{}
-	release chan struct{}
 	acked   atomic.Int64
+
+	mu       sync.Mutex
+	cond     *sync.Cond
+	released uint64 // deliveries with Seq below this may reply
+}
+
+func newHoldSink(arrivals int) *holdSink {
+	h := &holdSink{arrived: make(chan struct{}, arrivals)}
+	h.cond = sync.NewCond(&h.mu)
+	return h
+}
+
+// release lets the oldest held delivery reply.
+func (h *holdSink) release() {
+	h.mu.Lock()
+	h.released++
+	h.cond.Broadcast()
+	h.mu.Unlock()
 }
 
 func (h *holdSink) EdenType() string { return "test-hold-sink" }
 func (h *holdSink) Serve(inv *kernel.Invocation) {
+	seq := inv.Payload.(*DeliverRequest).Seq
 	h.arrived <- struct{}{}
-	<-h.release
+	h.mu.Lock()
+	for seq >= h.released {
+		h.cond.Wait()
+	}
+	h.mu.Unlock()
 	h.acked.Add(1)
 	inv.Reply(&DeliverReply{Status: StatusOK, Credits: 1 << 20})
 }
@@ -337,7 +361,7 @@ func TestPusherWindowBoundsUnacked(t *testing.T) {
 			k := testKernel(t)
 			const items = 20
 			const delivers = items + 1 // one per item, then End
-			sink := &holdSink{arrived: make(chan struct{}, delivers), release: make(chan struct{})}
+			sink := newHoldSink(delivers)
 			id := k.NewUID()
 			if err := k.CreateWithUID(id, sink, 0); err != nil {
 				t.Fatal(err)
@@ -368,7 +392,7 @@ func TestPusherWindowBoundsUnacked(t *testing.T) {
 						t.Fatalf("window never filled: %d arrived, %d acknowledged", arrived, acked)
 					}
 				}
-				sink.release <- struct{}{}
+				sink.release()
 			}
 			var peak int64
 			for n := range unacked {
@@ -517,6 +541,41 @@ func TestPassiveBufferAbort(t *testing.T) {
 	if err := p.Put([]byte("x")); !errors.Is(err, ErrAborted) {
 		t.Fatalf("writer after abort: %v", err)
 	}
+
+	// An abort drops the backlog, as on every port channel: the next
+	// Transfer sees the abort with no items, and the slab views come
+	// back before the Eject is deactivated.
+	t.Run("drops backlog", func(t *testing.T) {
+		k := testKernel(t)
+		buf := NewPassiveBuffer(k, PassiveBufferConfig{Name: "pipe", Capacity: 16})
+		bufID, err := k.Create(buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slab := wire.NewSlab(k.Metrics(), 1<<14)
+		items := make([][]byte, 6)
+		for i := range items {
+			items[i] = slab.Alloc(8)
+			copy(items[i], fmt.Sprintf("item-%02d", i))
+		}
+		if _, err := k.Invoke(uid.Nil, bufID, OpDeliver, &DeliverRequest{Channel: Chan(0), Items: items}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.Invoke(uid.Nil, bufID, OpAbort, &AbortRequest{Channel: Chan(0), Msg: "teardown"}); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := k.Invoke(uid.Nil, bufID, OpTransfer, &TransferRequest{Channel: Chan(0), Max: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := raw.(*TransferReply); rep.Status != StatusAborted || len(rep.Items) != 0 {
+			t.Fatalf("Transfer after abort: status %v with %d items, want aborted with none", rep.Status, len(rep.Items))
+		}
+		if n := slab.Close(); n != 0 {
+			t.Fatalf("slab leak audit found %d views still buffered after abort", n)
+		}
+		buf.OnDeactivate()
+	})
 }
 
 // woPortEject exposes a bare WOInPort to the kernel so tests can drive
@@ -534,7 +593,7 @@ func (e *woPortEject) Serve(inv *kernel.Invocation) {
 // TestWOAbortReleasesBacklog pins the remote-abort teardown path: a
 // channel holding undrained slab-backed deliveries is aborted via
 // OpAbort, and every buffered view must be handed back to the slab —
-// the same discipline ChannelReader.Cancel and outChannel.abort apply.
+// the same drop every abort path of the shared stream buffer applies.
 // Regression test: abortOne used to set abortErr without releasing the
 // backlog, stranding the views until the slab's Close leak audit.
 func TestWOAbortReleasesBacklog(t *testing.T) {
